@@ -292,8 +292,8 @@ enum NodePlan {
     Absent,
 }
 
-/// Node layer shared by [`generate`] and [`generate_hide`]: originals when
-/// dominated (Def. 9.1), otherwise the most dominant visible surrogate
+/// Node layer of every strategy: originals when dominated (Def. 9.1),
+/// otherwise (with `use_catalog`) the most dominant visible surrogate
 /// (Def. 9.2), otherwise absent.
 fn plan_nodes(
     ctx: &ProtectionContext<'_>,
@@ -378,20 +378,14 @@ fn build_node_layer(
 }
 
 /// Adds every Visible–Visible original edge whose endpoints are present
-/// (Algorithm 1 line 13–14).
-fn add_shown_edges(
-    ctx: &ProtectionContext<'_>,
-    preds: &[PrivilegeId],
-    account: &mut ProtectedAccount,
-) {
-    for edge in ctx.graph.edges() {
-        if !ctx.markings.edge_visible_for_set(edge, preds) {
+/// (Algorithm 1 lines 13–14), in edge insertion order. The one shown-edge
+/// pass of all three strategies.
+fn add_visible_edges(original: &Graph, tables: &EdgeTables, account: &mut ProtectedAccount) {
+    for (id, (a, b)) in original.edges().enumerate() {
+        if !tables.visible(id as u32) {
             continue;
         }
-        if let (Some(u), Some(v)) = (
-            account.to_account[edge.0.index()],
-            account.to_account[edge.1.index()],
-        ) {
+        if let (Some(u), Some(v)) = (account.to_account[a.index()], account.to_account[b.index()]) {
             account
                 .graph
                 .add_edge(u, v)
@@ -485,8 +479,8 @@ impl EdgeTables {
     /// Both incidences resolve `Visible` — directly showable.
     const VISIBLE: u8 = 1 << 3;
 
-    fn resolve(ctx: &ProtectionContext<'_>, preds: &[PrivilegeId], csr: &Csr) -> EdgeTables {
-        let e = csr.edge_count();
+    fn resolve(ctx: &ProtectionContext<'_>, preds: &[PrivilegeId]) -> EdgeTables {
+        let e = ctx.graph.edge_count();
         let m = ctx.markings;
         let flags_for = |src: Marking, dst: Marking| {
             let mut f = 0u8;
@@ -511,13 +505,15 @@ impl EdgeTables {
                 flags: vec![flags_for(d, d); e],
             };
         }
-        let mut flags = vec![0u8; e];
-        for (id, slot) in flags.iter_mut().enumerate() {
-            let edge = csr.endpoints(id);
-            let src = m.mark_for_set(edge.0, edge, preds);
-            let dst = m.mark_for_set(edge.1, edge, preds);
-            *slot = flags_for(src, dst);
-        }
+        let flags = ctx
+            .graph
+            .edges()
+            .map(|edge| {
+                let src = m.mark_for_set(edge.0, edge, preds);
+                let dst = m.mark_for_set(edge.1, edge, preds);
+                flags_for(src, dst)
+            })
+            .collect();
         EdgeTables { flags }
     }
 
@@ -549,34 +545,17 @@ impl Default for GenerateOptions {
 }
 
 /// The Surrogate Generation Algorithm (Appendix B, Algorithms 1–3),
-/// producing the maximally informative account for predicate `p`
-/// (Theorem 1), with `HW(G') = {p}`.
+/// producing the maximally informative account (Theorem 1) for a
+/// high-water set (Def. 6): node visibility and incidence markings take
+/// the most permissive interpretation across members, per Def. 8's "for
+/// some p dominated by a member of HW". Members that are dominated by
+/// other members are redundant and removed up front.
 ///
 /// Surrogate edges are emitted for exactly the HW-permitted pairs that do
 /// not decompose into strictly shorter permitted pairs through a present
 /// intermediate — the appendix's "no shorter HW-permitted path" redundancy
 /// rule. Decomposable pairs are connected transitively by the pieces, so
 /// maximal connectivity (Def. 9.3) holds by induction on path length.
-///
-/// # Migration
-/// Deprecated in favor of [`ProtectionContext::protect`] (or, for serving
-/// workloads, `plus_store::AccountService::get_account`), which route
-/// through the pluggable [`ProtectionStrategy`](crate::strategy) layer:
-/// `generate_for_set(&ctx, &[p])` becomes `ctx.protect(p, Strategy::Surrogate)`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::Surrogate)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate(ctx: &ProtectionContext<'_>, p: PrivilegeId) -> Result<ProtectedAccount> {
-    generate_with_options(ctx, &[p], GenerateOptions::default())
-}
-
-/// [`generate`] for a multi-predicate high-water set (Def. 6): node
-/// visibility and incidence markings take the most permissive
-/// interpretation across members, per Def. 8's "for some p dominated by a
-/// member of HW". Members that are dominated by other members are
-/// redundant and removed up front.
 pub fn generate_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -584,15 +563,31 @@ pub fn generate_for_set(
     generate_with_options(ctx, preds, GenerateOptions::default())
 }
 
-/// Full-control variant of [`generate`] / [`generate_for_set`].
+/// Full-control variant of [`generate_for_set`].
 ///
 /// Runs against a [`Csr`] index of the graph — the one attached via
 /// [`ProtectionContext::with_csr`], or one built on the fly — so the
-/// marking resolution, the permitted-reach BFS, and the redundancy
+/// marking resolution, the permitted-pair closure and the redundancy
 /// filter all address dense per-edge/per-node arrays instead of hashing
-/// node or edge keys. Surrogate edges are emitted in canonical
-/// `(source, target)` order, so accounts are deterministic and
-/// comparable edge-for-edge with [`reference::generate_with_options`].
+/// node or edge keys:
+///
+/// * **Closure.** Present sources run in batches of up to 64, in node-id
+///   order, each on one bit lane of a `u64` (the multi-source BFS of Then
+///   et al., "The More the Merrier", PVLDB 8(4), 2014). A level-synchronous
+///   pass expands each frontier node's non-hidden out-edges once for all
+///   the lanes that reached it at that depth. Def. 8 cond. 2 and the
+///   `x ≠ u` rule are a per-batch `forbid` mask.
+/// * **Rows.** Each lane's shortest permitted-pair depths are harvested in
+///   node-id order into one flat arena, so every source's rows come out
+///   target-sorted without a comparison sort. Memory is O(rows) plus
+///   O(64 · V) of per-batch scratch.
+/// * **Redundancy filter.** A stamped dense table of the closest depth-1
+///   witness per target settles most candidates in O(1); only the rest
+///   scan the source's deeper rows with a binary search per witness.
+///
+/// Surrogate edges are emitted in canonical `(source, target)` order, so
+/// accounts are deterministic and comparable edge-for-edge with
+/// [`reference::generate_with_options`].
 ///
 /// # Panics
 /// Panics if `preds` is empty.
@@ -606,6 +601,8 @@ pub fn generate_with_options(
     let preds = ctx.lattice.maximal_antichain(preds);
     let plans = plan_nodes(ctx, &preds, true);
     let mut account = build_node_layer(ctx, &preds, Strategy::Surrogate, plans);
+    let tables = EdgeTables::resolve(ctx, &preds);
+    add_visible_edges(ctx.graph, &tables, &mut account);
 
     let owned_csr;
     let csr = match ctx.csr {
@@ -615,210 +612,53 @@ pub fn generate_with_options(
             &owned_csr
         }
     };
-    let tables = EdgeTables::resolve(ctx, &preds, csr);
     let n = csr.node_count();
-    let e = csr.edge_count();
-
-    // Visible–Visible original edges with both endpoints present, in
-    // insertion order (Algorithm 1 lines 13–14, as in `add_shown_edges`).
-    for id in 0..e {
-        if !tables.visible(id as u32) {
-            continue;
-        }
-        let (a, b) = csr.endpoints(id);
-        if let (Some(u), Some(v)) = (account.to_account[a.index()], account.to_account[b.index()]) {
-            account
-                .graph
-                .add_edge(u, v)
-                .expect("original edges are unique and loop-free");
-        }
-    }
-
     let present: Vec<bool> = (0..n).map(|i| account.to_account[i].is_some()).collect();
+    let rows = PairRows::closure(csr, &tables, &present);
 
-    // Pre-filtered adjacency, resolved once per call and shared by every
-    // per-source BFS: the non-hidden out-edges of each node in CSR
-    // layout, with the per-edge Def. 8 facts folded into a byte — bit 0:
-    // the edge can *record* its target as a permitted pair (destination
-    // incidence Visible and target present); bit 1: the edge can *seed*
-    // a walk (source incidence Visible). The O(V × E) walks below then
-    // read two small sequential arrays instead of gathering from the
-    // flag table and the presence map on every edge examination.
-    const REC: u8 = 1;
-    const SEED: u8 = 1 << 1;
-    let mut fadj_start = vec![0u32; n + 1];
-    let mut fadj_target: Vec<u32> = Vec::with_capacity(e);
-    let mut fadj_bits: Vec<u8> = Vec::with_capacity(e);
-    for (w, start) in fadj_start.iter_mut().enumerate().take(n) {
-        *start = fadj_target.len() as u32;
-        let (targets, edge_ids) = csr.out(NodeId(w as u32));
-        for (&x, &id) in targets.iter().zip(edge_ids) {
-            let f = tables.flags[id as usize];
-            if f & EdgeTables::HIDDEN != 0 {
-                continue;
-            }
-            let mut bits = 0u8;
-            if f & EdgeTables::DST_VISIBLE != 0 && present[x as usize] {
-                bits |= REC;
-            }
-            if f & EdgeTables::SRC_VISIBLE != 0 {
-                bits |= SEED;
-            }
-            fadj_target.push(x);
-            fadj_bits.push(bits);
-        }
-    }
-    fadj_start[n] = fadj_target.len() as u32;
-
-    // Per-source BFS over the non-hidden subgraph (the repaired
-    // Algorithm 2; see `permitted_reach` for the Def. 8 reasoning). The
-    // frontier holds *nodes* in level-synchronous `Vec`s, and every node
-    // expands its out-edges at most once per source — at its BFS-minimal
-    // depth — so each edge is examined exactly once per source and
-    // frontier traffic is O(V), not O(E). Examining edge `(w, x)` at
-    // `depth(w) + 1` both records the row for `x` (first qualifying
-    // examination = shortest permitted walk, because examinations happen
-    // in nondecreasing source depth) and enqueues `x` if unvisited.
-    //
-    // `status` packs the per-node visited stamp (low 32 bits) and
-    // row-recorded stamp (high 32 bits) into one word, so the hot path
-    // touches a single cache line per node; all scratch is stamped
-    // instead of cleared, keeping per-source setup at O(out-degree).
-    let mut status = vec![0u64; n];
-    let mut cand_depth = vec![0u32; n];
-    let mut direct = vec![0u32; n];
-    let mut direct_id = vec![0u32; n];
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut next_frontier: Vec<u32> = Vec::new();
+    // `best[v] = (stamp, d)`: the shortest `d(w, v)` over the current
+    // source's depth-1 rows `w`, valid while `stamp` is the source's.
+    let mut best = vec![(0u32, 0u32); n];
     let mut stamp = 0u32;
-
-    // Shortest permitted-pair rows, arena-allocated: source `u`'s rows
-    // live in `rows_flat[row_start[u]..row_start[u + 1]]`, sorted by
-    // target so the redundancy filter can binary-search `d(w, v)`
-    // instead of hashing. `deep_flat` carries the same rows per source as
-    // `(depth, target)` in nondecreasing depth order — recorded for free
-    // by the level-synchronous BFS — so the redundancy filter can stop
-    // scanning witnesses at the candidate's own depth. One pair of
-    // growing buffers instead of `Vec`s per source keeps the BFS free of
-    // per-source reallocation.
-    let mut rows_flat: Vec<(u32, u32)> = Vec::new();
-    let mut deep_flat: Vec<(u32, u32)> = Vec::new();
-    let mut row_start: Vec<u32> = vec![0u32; n + 1];
-
-    for u in ctx.graph.node_ids() {
-        let ui = u.index();
-        row_start[ui] = rows_flat.len() as u32;
-        if !present[ui] {
-            continue;
-        }
-        stamp += 1;
-        let (targets, edge_ids) = csr.out(u);
-        // Def. 8 cond. 2 lookup table: direct edges out of `u`.
-        for (&t, &id) in targets.iter().zip(edge_ids) {
-            direct[t as usize] = stamp;
-            direct_id[t as usize] = id;
-        }
-        // Examines filtered edge `(w, x)` (bits `b`) entering `x` at
-        // `depth`: Def. 8 cond. 1 — recordability (destination incidence
-        // Visible, target present) was folded into `REC`; cond. 2 — a
-        // direct edge between the pair, if any, must be Visible–Visible.
-        let recorded = (stamp as u64) << 32;
-        macro_rules! examine {
-            ($x:expr, $b:expr, $depth:expr, $next:expr) => {
-                let xi = $x as usize;
-                let s = status[xi];
-                if $b & REC != 0
-                    && (s >> 32) as u32 != stamp
-                    && $x != u.0
-                    && (direct[xi] != stamp
-                        || tables.flags[direct_id[xi] as usize] & EdgeTables::VISIBLE != 0)
-                {
-                    status[xi] = (status[xi] & 0xFFFF_FFFF) | recorded;
-                    cand_depth[xi] = $depth;
-                    deep_flat.push(($depth, $x));
-                }
-                if s as u32 != stamp {
-                    status[xi] = (status[xi] & !0xFFFF_FFFF) | stamp as u64;
-                    $next.push($x);
-                }
-            };
-        }
-        let fedges = |w: usize| {
-            let (lo, hi) = (fadj_start[w] as usize, fadj_start[w + 1] as usize);
-            fadj_target[lo..hi].iter().zip(&fadj_bits[lo..hi])
-        };
-        // Def. 8: the source's incidence on the first edge must be
-        // Visible. `u` itself stays unvisited: if a cycle re-enters it,
-        // it expands *all* its non-hidden out-edges as an intermediate
-        // (re-examining a seed edge is harmless — the row conditions are
-        // depth-independent, so it either recorded at depth 1 or never
-        // will).
-        frontier.clear();
-        for (&x, &b) in fedges(ui) {
-            if b & SEED == 0 {
-                continue;
-            }
-            examine!(x, b, 1, frontier);
-        }
-        let mut depth = 1;
-        while !frontier.is_empty() {
-            depth += 1;
-            next_frontier.clear();
-            for &w in &frontier {
-                for (&x, &b) in fedges(w as usize) {
-                    examine!(x, b, depth, next_frontier);
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next_frontier);
-        }
-        // Harvest the recorded targets by scanning node ids in order: the
-        // rows come out target-sorted without a comparison sort, which
-        // both the redundancy filter's binary search and the canonical
-        // (deterministic) emission order below rely on.
-        for (x, s) in status.iter().enumerate() {
-            if (s >> 32) as u32 == stamp {
-                rows_flat.push((x as u32, cand_depth[x]));
-            }
-        }
-    }
-    row_start[n] = rows_flat.len() as u32;
-    let rows = |w: usize| &rows_flat[row_start[w] as usize..row_start[w + 1] as usize];
-    let rows_by_depth = |w: usize| &deep_flat[row_start[w] as usize..row_start[w + 1] as usize];
-
-    for u in ctx.graph.node_ids() {
-        let ui = u.index();
-        let own = rows(ui);
+    for ui in 0..n {
+        let own = rows.of(ui);
         if own.is_empty() {
             continue;
         }
-        stamp += 1;
-        // A Visible–Visible direct edge is already shown; any other direct
-        // edge forbids the pair (Def. 8 cond. 2) and was never recorded.
-        let (targets, _) = csr.out(u);
-        for &t in targets {
-            direct[t as usize] = stamp;
+        if options.redundancy_filter {
+            stamp += 1;
+            for &(w, _) in own.iter().filter(|&&(_, dw)| dw == 1) {
+                for &(v, dwv) in rows.of(w as usize) {
+                    let slot = &mut best[v as usize];
+                    if slot.0 != stamp || dwv < slot.1 {
+                        *slot = (stamp, dwv);
+                    }
+                }
+            }
         }
         let u_acct = account.to_account[ui].expect("present source");
         for &(v, d) in own {
-            if direct[v as usize] == stamp {
+            // Depth-1 rows are exactly the Visible–Visible direct edges,
+            // already shown; any other direct edge forbids the pair
+            // (Def. 8 cond. 2) and was never recorded.
+            if d == 1 {
                 continue;
             }
             // Redundancy rule: skip when the pair splits into strictly
-            // shorter permitted pairs via a present intermediate — a
-            // witness must be strictly closer than the candidate, so only
-            // the depth-ascending prefix `dw < d` is worth scanning.
+            // shorter permitted pairs via a present intermediate `w`
+            // (∃w: d(u, w) < d ∧ d(w, v) < d; no source has a row to
+            // itself, so w ≠ v). The depth-1 witnesses were folded into
+            // `best`; only deeper ones are scanned here.
             if options.redundancy_filter {
-                let decomposable =
-                    rows_by_depth(ui)
-                        .iter()
-                        .take_while(|&&(dw, _)| dw < d)
-                        .any(|&(_, w)| {
-                            w != v && {
-                                let via = rows(w as usize);
-                                via.binary_search_by_key(&v, |&(t, _)| t)
-                                    .is_ok_and(|pos| via[pos].1 < d)
-                            }
-                        });
+                let (s, via_first) = best[v as usize];
+                let decomposable = (s == stamp && via_first < d)
+                    || own.iter().any(|&(w, dw)| {
+                        1 < dw && dw < d && {
+                            let via = rows.of(w as usize);
+                            via.binary_search_by_key(&v, |&(t, _)| t)
+                                .is_ok_and(|pos| via[pos].1 < d)
+                        }
+                    });
                 if decomposable {
                     continue;
                 }
@@ -834,22 +674,214 @@ pub fn generate_with_options(
     Ok(account)
 }
 
+/// Bit lanes per closure batch: one source per bit of a `u64`.
+const LANES: usize = 64;
+
+/// Shortest HW-permitted pair rows of every present source: source `u`'s
+/// rows are `(target, depth)` in `flat[start[u]..start[u + 1]]`, sorted
+/// by target.
+struct PairRows {
+    flat: Vec<(u32, u32)>,
+    start: Vec<u32>,
+}
+
+impl PairRows {
+    /// Rows of source `u` (empty for absent sources).
+    #[inline]
+    fn of(&self, u: usize) -> &[(u32, u32)] {
+        &self.flat[self.start[u] as usize..self.start[u + 1] as usize]
+    }
+
+    /// The permitted-pair closure over the non-hidden subgraph (the
+    /// repaired Algorithm 2; see `permitted_reach` for the Def. 8
+    /// reasoning), 64 sources per pass.
+    fn closure(csr: &Csr, tables: &EdgeTables, present: &[bool]) -> PairRows {
+        let n = csr.node_count();
+
+        // Pre-filtered adjacency, resolved once per call and shared by
+        // every batch: the non-hidden out-edges of each node in CSR
+        // layout, with the per-edge Def. 8 facts folded into `REC`/`SEED`
+        // bits, so the closure reads two small sequential arrays instead
+        // of gathering from the flag table and the presence map.
+        let mut fadj_start = vec![0u32; n + 1];
+        let mut fadj_target: Vec<u32> = Vec::with_capacity(csr.edge_count());
+        let mut fadj_bits: Vec<u8> = Vec::with_capacity(csr.edge_count());
+        for (w, start) in fadj_start.iter_mut().enumerate().take(n) {
+            *start = fadj_target.len() as u32;
+            let (targets, edge_ids) = csr.out(NodeId(w as u32));
+            for (&x, &id) in targets.iter().zip(edge_ids) {
+                let f = tables.flags[id as usize];
+                if f & EdgeTables::HIDDEN != 0 {
+                    continue;
+                }
+                let mut bits = 0u8;
+                if f & EdgeTables::DST_VISIBLE != 0 && present[x as usize] {
+                    bits |= Batch::REC;
+                }
+                if f & EdgeTables::SRC_VISIBLE != 0 {
+                    bits |= Batch::SEED;
+                }
+                fadj_target.push(x);
+                fadj_bits.push(bits);
+            }
+        }
+        fadj_start[n] = fadj_target.len() as u32;
+        let fedges = |w: u32| {
+            let (lo, hi) = (
+                fadj_start[w as usize] as usize,
+                fadj_start[w as usize + 1] as usize,
+            );
+            fadj_target[lo..hi].iter().zip(&fadj_bits[lo..hi])
+        };
+
+        let mut batch = Batch {
+            seen: vec![0; n],
+            recorded: vec![0; n],
+            forbid: vec![0; n],
+            next: vec![0; n],
+            queued: Vec::new(),
+            depth: vec![0; n * LANES],
+            counts: [0; LANES],
+        };
+        let mut frontier_mask = vec![0u64; n];
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut row_count = vec![0u32; n];
+        let mut flat: Vec<(u32, u32)> = Vec::new();
+
+        let sources: Vec<u32> = (0..n as u32).filter(|&u| present[u as usize]).collect();
+        for lanes in sources.chunks(LANES) {
+            // Depth 1: the source's incidence on the first edge must be
+            // Visible. A source stays unvisited in its own lane, so a
+            // cycle that re-enters it expands *all* its non-hidden
+            // out-edges as an intermediate (re-examining a seed edge is
+            // harmless: the row conditions do not depend on depth).
+            for (lane, &u) in lanes.iter().enumerate() {
+                let bit = 1u64 << lane;
+                batch.forbid[u as usize] |= bit;
+                let (targets, edge_ids) = csr.out(NodeId(u));
+                for (&t, &id) in targets.iter().zip(edge_ids) {
+                    if !tables.visible(id) {
+                        batch.forbid[t as usize] |= bit;
+                    }
+                }
+                for (&x, &b) in fedges(u) {
+                    if b & Batch::SEED != 0 {
+                        batch.examine(x, b, bit, 1);
+                    }
+                }
+            }
+            // Every node is expanded at most once per lane, at its
+            // BFS-minimal depth, and once for all the lanes that share
+            // that depth. Every nonzero `frontier_mask` entry is taken
+            // while expanding, so the swapped-in `next` starts all zero.
+            let mut depth = 1;
+            while !batch.queued.is_empty() {
+                depth += 1;
+                std::mem::swap(&mut frontier, &mut batch.queued);
+                std::mem::swap(&mut frontier_mask, &mut batch.next);
+                for &w in &frontier {
+                    let arriving = std::mem::take(&mut frontier_mask[w as usize]);
+                    for (&x, &b) in fedges(w) {
+                        batch.examine(x, b, arriving, depth);
+                    }
+                }
+                frontier.clear();
+            }
+
+            // Harvest by scanning node ids in order into per-lane cursors:
+            // the rows come out target-sorted without a comparison sort,
+            // which both the redundancy filter's binary search and the
+            // canonical emission order rely on. The scan also clears the
+            // batch's masks for the next one.
+            let mut cursor = [0usize; LANES];
+            let mut end = flat.len();
+            for (lane, &u) in lanes.iter().enumerate() {
+                cursor[lane] = end;
+                end += batch.counts[lane] as usize;
+                row_count[u as usize] = std::mem::take(&mut batch.counts[lane]);
+            }
+            flat.resize(end, (0, 0));
+            for x in 0..n {
+                batch.seen[x] = 0;
+                batch.forbid[x] = 0;
+                let mut m = std::mem::take(&mut batch.recorded[x]);
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    flat[cursor[lane]] = (x as u32, batch.depth[x * LANES + lane]);
+                    cursor[lane] += 1;
+                }
+            }
+        }
+
+        let mut start = Vec::with_capacity(n + 1);
+        let mut at = 0u32;
+        start.push(at);
+        for &count in &row_count {
+            at += count;
+            start.push(at);
+        }
+        PairRows { flat, start }
+    }
+}
+
+/// Per-node lane masks of one closure batch, and the rows it has recorded.
+struct Batch {
+    /// Lanes that have queued the node for expansion.
+    seen: Vec<u64>,
+    /// Lanes holding a row for the node.
+    recorded: Vec<u64>,
+    /// Lanes that may never record the node: the lane's own source, and
+    /// targets of its direct edges that are not Visible–Visible.
+    forbid: Vec<u64>,
+    /// Lanes that expand the node at the next depth.
+    next: Vec<u64>,
+    /// Nodes whose `next` mask is nonzero.
+    queued: Vec<u32>,
+    /// Depth at which lane `l` recorded node `x`, at `x * LANES + l`; read
+    /// only where `recorded` holds the bit.
+    depth: Vec<u32>,
+    /// Rows recorded per lane.
+    counts: [u32; LANES],
+}
+
+impl Batch {
+    /// Edge may record its target as a permitted pair: destination
+    /// incidence Visible and target present (Def. 8 cond. 1).
+    const REC: u8 = 1;
+    /// Edge may start a walk: source incidence Visible.
+    const SEED: u8 = 1 << 1;
+
+    /// `lanes` arrive at `x` at `depth` over a pre-filtered edge with
+    /// `bits`. The first arrival that may record is the shortest
+    /// permitted walk, because arrivals come in nondecreasing depth.
+    #[inline]
+    fn examine(&mut self, x: u32, bits: u8, lanes: u64, depth: u32) {
+        let xi = x as usize;
+        if bits & Self::REC != 0 {
+            let mut fresh = lanes & !self.recorded[xi] & !self.forbid[xi];
+            self.recorded[xi] |= fresh;
+            while fresh != 0 {
+                let lane = fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                self.depth[xi * LANES + lane] = depth;
+                self.counts[lane] += 1;
+            }
+        }
+        let unseen = lanes & !self.seen[xi];
+        if unseen != 0 {
+            self.seen[xi] |= unseen;
+            if self.next[xi] == 0 {
+                self.queued.push(x);
+            }
+            self.next[xi] |= unseen;
+        }
+    }
+}
+
 /// The "binary show/hide" edge baseline (§6): same node layer as the
 /// surrogate algorithm, but protected incidences simply drop their edges —
 /// no surrogate edges are synthesized.
-///
-/// # Migration
-/// Deprecated: use `ctx.protect(p, Strategy::HideEdges)` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::HideEdges)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate_hide(ctx: &ProtectionContext<'_>, p: PrivilegeId) -> Result<ProtectedAccount> {
-    generate_hide_for_set(ctx, &[p])
-}
-
-/// [`generate_hide`] for a multi-predicate high-water set.
 pub fn generate_hide_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -859,29 +891,13 @@ pub fn generate_hide_for_set(
     let preds = ctx.lattice.maximal_antichain(preds);
     let plans = plan_nodes(ctx, &preds, true);
     let mut account = build_node_layer(ctx, &preds, Strategy::HideEdges, plans);
-    add_shown_edges(ctx, &preds, &mut account);
+    add_visible_edges(ctx.graph, &EdgeTables::resolve(ctx, &preds), &mut account);
     Ok(account)
 }
 
 /// The naïve all-or-nothing baseline of Fig. 1(c): nodes appear only when
 /// the predicate dominates their `lowest` (no surrogates), and edges only
 /// when Visible–Visible with both endpoints present.
-///
-/// # Migration
-/// Deprecated: use `ctx.protect(p, Strategy::HideNodes)` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProtectionContext::protect(p, Strategy::HideNodes)` or the \
-            `strategy::ProtectionStrategy` trait; see the strategy module docs"
-)]
-pub fn generate_naive_node_hide(
-    ctx: &ProtectionContext<'_>,
-    p: PrivilegeId,
-) -> Result<ProtectedAccount> {
-    generate_naive_node_hide_for_set(ctx, &[p])
-}
-
-/// [`generate_naive_node_hide`] for a multi-predicate high-water set.
 pub fn generate_naive_node_hide_for_set(
     ctx: &ProtectionContext<'_>,
     preds: &[PrivilegeId],
@@ -890,7 +906,7 @@ pub fn generate_naive_node_hide_for_set(
     let preds = ctx.lattice.maximal_antichain(preds);
     let plans = plan_nodes(ctx, &preds, false);
     let mut account = build_node_layer(ctx, &preds, Strategy::HideNodes, plans);
-    add_shown_edges(ctx, &preds, &mut account);
+    add_visible_edges(ctx.graph, &EdgeTables::resolve(ctx, &preds), &mut account);
     Ok(account)
 }
 
@@ -929,6 +945,29 @@ pub fn permitted_pairs(
 /// frames) must match byte for byte.
 pub mod reference {
     use super::*;
+
+    /// Hash-map counterpart of `add_visible_edges`: resolves every edge's
+    /// markings through the [`MarkingStore`].
+    fn add_shown_edges(
+        ctx: &ProtectionContext<'_>,
+        preds: &[PrivilegeId],
+        account: &mut ProtectedAccount,
+    ) {
+        for edge in ctx.graph.edges() {
+            if !ctx.markings.edge_visible_for_set(edge, preds) {
+                continue;
+            }
+            if let (Some(u), Some(v)) = (
+                account.to_account[edge.0.index()],
+                account.to_account[edge.1.index()],
+            ) {
+                account
+                    .graph
+                    .add_edge(u, v)
+                    .expect("original edges are unique and loop-free");
+            }
+        }
+    }
 
     /// Hash-based counterpart of [`generate_with_options`](super::generate_with_options).
     ///

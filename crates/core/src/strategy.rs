@@ -14,13 +14,17 @@
 //! selector for serialization and CLI flags; it implements the trait by
 //! dispatching to the three unit strategies below.
 //!
-//! # Migration from the free generation functions
+//! # Single-predicate accounts
 //!
-//! | old | new |
+//! The single-predicate free functions `generate`, `generate_hide` and
+//! `generate_naive_node_hide` have been removed. Protect for one
+//! predicate `p` through the context or a unit strategy:
+//!
+//! | strategy | call |
 //! |---|---|
-//! | `generate(&ctx, p)` | `Surrogate.protect(&ctx, &[p])` or `ctx.protect(p, Strategy::Surrogate)` |
-//! | `generate_hide(&ctx, p)` | `HideEdges.protect(&ctx, &[p])` |
-//! | `generate_naive_node_hide(&ctx, p)` | `HideNodes.protect(&ctx, &[p])` |
+//! | surrogate | `ctx.protect(p, Strategy::Surrogate)` or `Surrogate.protect(&ctx, &[p])` |
+//! | hide edges | `ctx.protect(p, Strategy::HideEdges)` or `HideEdges.protect(&ctx, &[p])` |
+//! | hide nodes | `ctx.protect(p, Strategy::HideNodes)` or `HideNodes.protect(&ctx, &[p])` |
 //!
 //! # Writing a custom strategy
 //!

@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use surrogate_core::account::{
-    generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
-    generate_with_options, GenerateOptions, ProtectionContext, Strategy,
+    self, generate_for_set, generate_hide_for_set, generate_naive_node_hide_for_set,
+    generate_with_options, GenerateOptions, ProtectedAccount, ProtectionContext, Strategy,
 };
 use surrogate_core::feature::Features;
 use surrogate_core::graph::Graph;
@@ -41,7 +41,30 @@ impl Scenario {
     }
 }
 
+/// Shape of a generated scenario's graph and lattice.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Probability that each ordered pair of distinct nodes is an edge.
+    edge_probability: f64,
+    /// Always use the `Public ⊑ {L1, L2}` lattice, with `L1` and `L2`
+    /// incomparable, instead of picking one of the two lattices at random.
+    incomparable: bool,
+}
+
+/// A small dense scenario: every ordered pair is an edge with
+/// probability 1/4, on either lattice.
 fn build_scenario(nodes: usize, seed: u64) -> Scenario {
+    build_scenario_shaped(
+        nodes,
+        seed,
+        Shape {
+            edge_probability: 0.25,
+            incomparable: false,
+        },
+    )
+}
+
+fn build_scenario_shaped(nodes: usize, seed: u64, shape: Shape) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Lattice: Public ⊑ L1 ⊑ L2, or Public ⊑ {L1, L2} incomparable.
@@ -50,7 +73,7 @@ fn build_scenario(nodes: usize, seed: u64) -> Scenario {
     let l1 = builder.add("L1").unwrap();
     let l2 = builder.add("L2").unwrap();
     builder.declare_dominates(l1, public);
-    if rng.gen_bool(0.5) {
+    if rng.gen_bool(0.5) && !shape.incomparable {
         builder.declare_dominates(l2, l1);
     } else {
         builder.declare_dominates(l2, public);
@@ -71,7 +94,7 @@ fn build_scenario(nodes: usize, seed: u64) -> Scenario {
         .collect();
     for &a in &ids {
         for &b in &ids {
-            if a != b && rng.gen_bool(0.25) {
+            if a != b && rng.gen_bool(shape.edge_probability) {
                 let _ = graph.add_edge(a, b);
             }
         }
@@ -434,5 +457,53 @@ proptest! {
             account.graph().node_count() as f64 / scenario.graph.node_count() as f64;
         let nu = node_utility(&scenario.graph, &account);
         prop_assert!((nu - expected).abs() < 1e-12, "{nu} vs {expected}");
+    }
+}
+
+/// Account edges in emission order, each with its surrogate classification.
+fn emitted_edges(account: &ProtectedAccount) -> Vec<((NodeId, NodeId), bool)> {
+    account
+        .graph()
+        .edges()
+        .map(|e| (e, account.is_surrogate_edge(e)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// The dense generator runs its sources 64 to a batch. On sparse cyclic
+    /// graphs of more than one batch, it emits exactly the reference
+    /// generator's edges, in the same order and with the same surrogate
+    /// classification, for the high-water sets `{L1}`, `{L2}` and
+    /// `{L1, L2}` of an incomparable lattice and either filter setting.
+    /// One set and one setting per case keeps the hash-based reference
+    /// affordable in debug builds.
+    #[test]
+    fn dense_generator_matches_reference_across_batches(
+        nodes in 65usize..301,
+        mean_out_degree in 1.0f64..5.0,
+        seed in any::<u64>(),
+        hw_set in 0usize..3,
+        redundancy_filter in any::<bool>(),
+    ) {
+        let scenario = build_scenario_shaped(
+            nodes,
+            seed,
+            Shape {
+                edge_probability: mean_out_degree / (nodes - 1) as f64,
+                incomparable: true,
+            },
+        );
+        let ctx = scenario.ctx();
+        let l1 = scenario.lattice.by_name("L1").unwrap();
+        let l2 = scenario.lattice.by_name("L2").unwrap();
+        let hw_sets = [vec![l1], vec![l2], vec![l1, l2]];
+        let hw = &hw_sets[hw_set];
+        let options = GenerateOptions { redundancy_filter };
+        let dense = generate_with_options(&ctx, hw, options).unwrap();
+        let reference = account::reference::generate_with_options(&ctx, hw, options).unwrap();
+        prop_assert_eq!(dense.graph().node_count(), reference.graph().node_count());
+        prop_assert_eq!(emitted_edges(&dense), emitted_edges(&reference));
     }
 }
